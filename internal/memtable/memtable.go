@@ -3,12 +3,20 @@
 // range scans sort it and read it through Mem_scan operators; when the
 // buffer fills, its contents are flushed into a materialized sorted run.
 //
+// The buffer is a sorted prefix followed by an unsorted tail of records
+// appended (or restored) since the last sort. Sorting sorts only the
+// tail, stably, and merges it backwards into the prefix in place, with
+// prefix records ahead of tail records on equal (key, ts). The result is
+// exactly the permutation a stable sort of the whole buffer would give,
+// but a query that follows t appends to an n-record buffer pays
+// O(t log t + n) under the latch instead of O(n log n).
+//
 // The subtle parts are concurrency-related and follow the paper closely:
 //
 //   - Appends go to the tail and do not disturb ongoing Mem_scans, because
 //     a scan's query timestamp filters out records committed after it.
-//   - The buffer records a sort timestamp whenever it is sorted; a
-//     Mem_scan that detects a newer sort re-positions itself by searching
+//   - The buffer records a sort timestamp whenever the tail is merged in;
+//     a Mem_scan that detects a newer sort re-positions itself by searching
 //     for its last-returned key.
 //   - The buffer records a flush timestamp when it is drained into a run;
 //     a Mem_scan that detects a flush reports it so the owning operator
@@ -17,6 +25,7 @@ package memtable
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -33,7 +42,10 @@ type Buffer struct {
 	capBytes int
 
 	sorted    int   // length of the sorted prefix of recs
-	sortEpoch int64 // bumped every time the buffer is (re)sorted
+	sortEpoch int64 // bumped every time a tail is merged into the prefix
+	// tail is sortLocked's scratch copy of the sorted tail during the
+	// backward merge, kept so that queries do not allocate it.
+	tail []update.Record
 	// flushEpoch is bumped every time the buffer is drained to a run;
 	// Mem_scans compare it against the epoch they started under.
 	flushEpoch int64
@@ -93,20 +105,52 @@ func (b *Buffer) SetCapacity(capBytes int) {
 	b.capBytes = capBytes
 }
 
-// sortLocked sorts the buffer by (key, ts) and bumps the sort epoch.
+// sortLocked makes the whole buffer sorted by (key, ts) and bumps the
+// sort epoch. It sorts only the unsorted tail recs[sorted:], stably, then
+// merges it backwards into the sorted prefix in place; on equal (key, ts)
+// the prefix record stays ahead. That is the permutation a stable sort of
+// the whole buffer produces, at O(t log t + n) for a t-record tail.
 // Caller holds b.mu.
 func (b *Buffer) sortLocked() {
-	if b.sorted == len(b.recs) {
+	recs, p := b.recs, b.sorted
+	if p == len(recs) {
 		return
 	}
-	recs := b.recs
-	sort.SliceStable(recs, func(i, j int) bool { return update.Less(&recs[i], &recs[j]) })
+	slices.SortStableFunc(recs[p:], compareRecs)
+	if p > 0 && update.Less(&recs[p], &recs[p-1]) {
+		tail := append(b.tail[:0], recs[p:]...)
+		i, j := p-1, len(tail)-1
+		for k := len(recs) - 1; j >= 0; k-- {
+			if i >= 0 && update.Less(&tail[j], &recs[i]) {
+				recs[k] = recs[i]
+				i--
+			} else {
+				recs[k] = tail[j]
+				j--
+			}
+		}
+		clear(tail) // drop payload references until the next merge
+		b.tail = tail
+	}
 	b.sorted = len(recs)
 	b.sortEpoch++
 }
 
+// compareRecs is update.Less as the three-way comparison slices sorts by.
+func compareRecs(a, b update.Record) int {
+	switch {
+	case update.Less(&a, &b):
+		return -1
+	case update.Less(&b, &a):
+		return 1
+	}
+	return 0
+}
+
 // Sort sorts the buffer in (key, timestamp) order, as the table-range-scan
-// setup requires before instantiating a Mem_scan.
+// setup requires before instantiating a Mem_scan. Only the records
+// appended or restored since the last sort are sorted; they are then
+// merged into the already-sorted prefix.
 func (b *Buffer) Sort() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -142,7 +186,7 @@ func (b *Buffer) Drain(beforeTS int64) []update.Record {
 // Restore re-appends records that a failed flush could not materialize,
 // ignoring the capacity limit (the buffer is simply considered full until
 // the next successful flush). The records re-enter as an unsorted tail;
-// the next Sort/Scan re-sorts them.
+// the next Sort/Scan/Drain merges them in.
 func (b *Buffer) Restore(recs []update.Record) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -164,14 +208,16 @@ func (b *Buffer) Epochs() (int64, int64) {
 
 // Scan creates a Mem_scan over [begin, end] for a query with timestamp
 // queryTS. The buffer is sorted as a side effect (paper §3.2, table range
-// scan setup step 2).
+// scan setup step 2): the tail appended since the last sort is merged
+// into the sorted prefix, as in Sort.
 func (b *Buffer) Scan(begin, end uint64, queryTS int64) *Scan {
 	return b.ScanPred(begin, end, queryTS, nil)
 }
 
 // ScanPred is Scan with a pushdown predicate: records whose keys fail
 // pred are dropped under the latch, before they ever enter the merge. A
-// nil pred is Scan.
+// nil pred is Scan. Its latched cost is the tail merge, O(t log t + n)
+// for t records appended since the last sort, plus a binary search.
 func (b *Buffer) ScanPred(begin, end uint64, queryTS int64, pred *update.Pred) *Scan {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -256,8 +302,8 @@ func (s *Scan) NextBatch(dst []update.Record) (n int, flushed bool) {
 		return 0, true
 	}
 	if s.sortEpoch != s.b.sortEpoch {
-		// Re-sorted (another query arrived): re-locate our position by
-		// searching for the last returned (key, ts).
+		// A tail was merged in (another query arrived): re-locate our
+		// position by searching for the last returned (key, ts).
 		if s.started {
 			s.pos = s.b.lowerBoundLocked(s.lastKey, s.lastTS)
 		} else {

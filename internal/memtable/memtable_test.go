@@ -111,40 +111,51 @@ func TestScanRangeFilter(t *testing.T) {
 	}
 }
 
+// TestScanSurvivesResort leaves a Mem_scan open while several tails are
+// merged into the buffer, some with keys equal to records the scan
+// already returned; it must still return exactly its snapshot.
 func TestScanSurvivesResort(t *testing.T) {
 	b := New(1 << 20)
+	var want []update.Record
 	for i := 1; i <= 50; i++ {
-		b.Append(rec(int64(i), uint64(i)))
+		r := rec(int64(i), uint64(2*i))
+		b.Append(r)
+		want = append(want, r)
 	}
 	s := b.Scan(0, ^uint64(0), 51)
-	// Read half.
-	for i := 0; i < 25; i++ {
-		if _, ok, _ := s.Next(); !ok {
-			t.Fatal("early end")
+	sort0, _ := b.Epochs()
+	var got []update.Record
+	ts := int64(51)
+	for done := false; !done; {
+		for i := 0; i < 7; i++ {
+			r, ok, flushed := s.Next()
+			if flushed {
+				t.Fatal("unexpected flush")
+			}
+			if !ok {
+				done = true
+				break
+			}
+			got = append(got, r)
 		}
+		// New updates land on both sides of the scan's position and on
+		// keys it already returned; another query merges them in.
+		for i := 0; i < 13; i++ {
+			b.Append(rec(ts, uint64(ts*7%101)))
+			ts++
+		}
+		b.Sort()
 	}
-	// New updates arrive (interleaving keys) and another query sorts.
-	for i := 51; i <= 80; i++ {
-		b.Append(rec(int64(i), uint64(i%25)))
+	if sortN, _ := b.Epochs(); sortN-sort0 < 5 {
+		t.Fatalf("only %d merges while the scan was open, want at least 5", sortN-sort0)
 	}
-	b.Sort()
-	// Original scan must continue, seeing only its visible remainder.
-	n := 25
-	for {
-		r, ok, flushed := s.Next()
-		if flushed {
-			t.Fatal("unexpected flush")
-		}
-		if !ok {
-			break
-		}
-		if r.TS >= 51 {
-			t.Fatalf("saw new record ts=%d after resort", r.TS)
-		}
-		n++
+	if len(got) != len(want) {
+		t.Fatalf("scan saw %d records, want %d", len(got), len(want))
 	}
-	if n != 50 {
-		t.Fatalf("scan saw %d total, want 50", n)
+	for i := range got {
+		if got[i].Key != want[i].Key || got[i].TS != want[i].TS {
+			t.Fatalf("record %d = (%d,%d), want (%d,%d)", i, got[i].Key, got[i].TS, want[i].Key, want[i].TS)
+		}
 	}
 }
 
