@@ -10,9 +10,13 @@
 //
 // The merge engine is a cache-friendly loser tree over batched record
 // buffers: each source keeps a small batch of decoded records refilled
-// through update.FillBatch, and selecting the next winner costs ⌈log₂ k⌉
-// integer comparisons with no interface dispatch, no container/heap
-// boxing, and no allocations per record in steady state. Sources are
+// through update.FillBatch. A source's window starts at a few records
+// and doubles on every refill that came back full, so a point query
+// allocates windows sized to what it reads while a long scan reaches
+// full batches after a handful of refills. Selecting the next winner
+// costs ⌈log₂ k⌉ integer comparisons with no interface dispatch, no
+// container/heap boxing, and no allocations per record in steady state
+// (once every window has reached full size). Sources are
 // refilled strictly on demand — a source performs I/O only at the moment
 // the merge needs its next record and none is buffered — so the sequence
 // of simulated device requests is identical to record-at-a-time merging
@@ -23,11 +27,15 @@ import (
 	"masm/internal/update"
 )
 
-// sourceBatch is the number of records buffered per merge source. One SSD
-// granule (4 KB) holds roughly 200 minimal records, so a batch this size
-// amortizes the per-call overhead without read-ahead beyond what a single
-// granule decode already implies.
-const sourceBatch = 128
+// sourceBatch is the largest number of records buffered per merge
+// source. One SSD granule (4 KB) holds roughly 200 minimal records, so a
+// batch this size amortizes the per-call overhead without read-ahead
+// beyond what a single granule decode already implies. A source's window
+// starts at firstSourceBatch records and doubles up to sourceBatch.
+const (
+	sourceBatch      = 128
+	firstSourceBatch = 8
+)
 
 // mergeSource is one input of the loser tree: a batch window over an
 // iterator. done distinguishes "window empty, refill" from "stream
@@ -41,9 +49,14 @@ type mergeSource struct {
 }
 
 // refill pulls the next batch from the underlying iterator. It must be
-// called only when the window is empty and the source is not done. buf
-// stays at full length; [pos, n) bounds the valid window.
+// called only when the window is empty and the source is not done; [pos,
+// n) bounds the valid window. A window the previous refill filled is
+// doubled first (up to sourceBatch): everything in it has been consumed,
+// so it is replaced, not copied.
 func (s *mergeSource) refill() error {
+	if s.n == len(s.buf) && len(s.buf) < sourceBatch {
+		s.buf = make([]update.Record, min(2*len(s.buf), sourceBatch))
+	}
 	n, err := update.FillBatch(s.it, s.buf)
 	if err != nil {
 		return err
@@ -116,7 +129,7 @@ func NewMerger(its ...update.Iterator) (*Merger, error) {
 		m.tree[i] = -1
 	}
 	for i, it := range its {
-		m.srcs[i] = mergeSource{it: it, buf: make([]update.Record, sourceBatch)}
+		m.srcs[i] = mergeSource{it: it, buf: make([]update.Record, firstSourceBatch)}
 		m.refills++
 		if err := m.srcs[i].refill(); err != nil {
 			return nil, err

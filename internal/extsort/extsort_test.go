@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -176,5 +177,42 @@ func TestCombinerEmpty(t *testing.T) {
 	out := collect(t, NewCombiner(iterOf(), MergeAll))
 	if len(out) != 0 {
 		t.Fatalf("empty combine produced %d", len(out))
+	}
+}
+
+// sizedIter records the dst length of every batch the merger requests.
+type sizedIter struct {
+	*update.SliceIterator
+	sizes []int
+}
+
+func (it *sizedIter) NextBatch(dst []update.Record) (int, error) {
+	it.sizes = append(it.sizes, len(dst))
+	return it.SliceIterator.NextBatch(dst)
+}
+
+// TestMergerWindowsGrowOnDemand checks the merge windows' sizing: a
+// source's window starts at firstSourceBatch records and doubles only
+// after a refill that came back full, up to sourceBatch, so a short
+// source never gets a full-size window.
+func TestMergerWindowsGrowOnDemand(t *testing.T) {
+	runs := allocRuns(2, 1000)
+	short := &sizedIter{SliceIterator: update.NewSliceIterator(runs[0][:3])}
+	long := &sizedIter{SliceIterator: update.NewSliceIterator(runs[1])}
+	m, err := NewMerger(short, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, m); len(got) != 1003 {
+		t.Fatalf("merged %d records, want 1003", len(got))
+	}
+	if want := []int{8, 8}; !slices.Equal(short.sizes, want) {
+		t.Fatalf("short source requested batches %v, want %v", short.sizes, want)
+	}
+	// 248 records through the growing windows, then 752 in full ones
+	// (5 full and one of 112), then the request that finds the end.
+	want := []int{8, 16, 32, 64, 128, 128, 128, 128, 128, 128, 128, 128}
+	if !slices.Equal(long.sizes, want) {
+		t.Fatalf("long source requested batches %v, want %v", long.sizes, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"masm/internal/sim"
@@ -872,4 +873,55 @@ func TestCoordinatedScanMigration(t *testing.T) {
 		t.Fatalf("%d runs left", e.store.Runs())
 	}
 	e.verifyRange(0, ^uint64(0))
+}
+
+// TestPointQueryAllocBound guards the allocation cost of a point query
+// over several runs: merge windows and the update reader grow with what
+// the query reads, so returning one row must not allocate full-size
+// batch buffers for every source. The bound is per query, measured as
+// the TotalAlloc delta over many queries.
+func TestPointQueryAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	const runs, perRun, maxBytesPerQuery = 5, 200, 48 << 10
+	e := newEnv(t, 20000, smallConfig())
+	for r := 0; r < runs; r++ {
+		for i := 0; i < perRun; i++ {
+			key := uint64(2*(r*perRun+i)*7 + 1)
+			e.apply(update.Record{Key: key, Op: update.Insert, Payload: body(key, 92)})
+		}
+		t1, err := e.store.Flush(e.now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.now = t1
+	}
+	if n := e.store.Runs(); n != runs {
+		t.Fatalf("store holds %d runs, want %d", n, runs)
+	}
+	get := func(key uint64) {
+		q, err := e.store.NewQuery(e.now, key, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, ok, err := q.Next()
+		if err != nil || !ok || row.Key != key {
+			t.Fatalf("get %d: row %d ok=%v err=%v", key, row.Key, ok, err)
+		}
+		q.Close()
+	}
+	const queries = 200
+	get(2000) // warm lazily built state (plan and device caches)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < queries; i++ {
+		get(uint64(2 * (i*97%20000 + 1)))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / queries; per > maxBytesPerQuery {
+		t.Fatalf("point query over %d runs allocates %d B, want at most %d B", runs, per, maxBytesPerQuery)
+	} else {
+		t.Logf("point query over %d runs allocates %d B", runs, per)
+	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"masm/internal/extsort"
 	"masm/internal/obs"
+	"masm/internal/update"
 )
 
 // TestHotPathInstrumentationAllocs gates the store-level instrumentation:
@@ -67,5 +68,36 @@ func TestStoreMetricsReconcile(t *testing.T) {
 	e.store.Metrics().RunBytes.Add(1)
 	if err := e.store.CheckMetrics(); err == nil {
 		t.Fatal("skewed run-bytes gauge passed reconciliation")
+	}
+}
+
+// TestQueryFoldsMergeStats checks that a range scan's Merge_updates work
+// reaches the merge-engine counters: a full scan over two runs merges
+// every cached update once, and Close folds exactly that many records.
+func TestQueryFoldsMergeStats(t *testing.T) {
+	e := newEnv(t, 2000, smallConfig())
+	const perRun = 300
+	for r := 0; r < 2; r++ {
+		for i := 0; i < perRun; i++ {
+			key := uint64(2*(r*perRun+i) + 1) // odd keys: fresh inserts
+			e.apply(update.Record{Key: key, Op: update.Insert, Payload: body(key, 92)})
+		}
+		t1, err := e.store.Flush(e.now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.now = t1
+	}
+	if n := e.store.Runs(); n < 2 {
+		t.Fatalf("store holds %d runs, want at least 2", n)
+	}
+	m := e.store.Metrics()
+	records0, cmps0 := m.MergeRecords.Value(), m.MergeComparisons.Value()
+	e.verifyRange(0, ^uint64(0))
+	if got := m.MergeRecords.Value() - records0; got != 2*perRun {
+		t.Fatalf("scan folded %d merged records, want %d", got, 2*perRun)
+	}
+	if m.MergeComparisons.Value() == cmps0 {
+		t.Fatal("scan over two runs folded no merge comparisons")
 	}
 }

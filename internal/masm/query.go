@@ -36,6 +36,7 @@ type Query struct {
 	data     *table.Scanner
 	runScans []*runfile.Scanner
 	mem      *memScanIter
+	merger   *extsort.Merger
 	upd      *update.BatchReader
 
 	// CPUPerRecord injects per-output-record CPU cost, modelling complex
@@ -192,6 +193,7 @@ func (s *Store) newQueryPredLocked(at sim.Time, begin, end uint64, qts int64, pr
 		}
 		return nil, err
 	}
+	q.merger = merger
 	q.upd = update.NewBatchReader(merger, updateBatch)
 
 	q.pinnedPages = len(q.runScans) + 1
@@ -360,6 +362,7 @@ func (q *Query) Close() {
 		s.m.ScanLatencyNanos.Observe(int64(q.Time().Sub(q.start)))
 		s.m.ScanBytes.Observe(q.rowBytes)
 	}
+	s.m.addMerger(q.merger.Stats())
 	// Fold the pushdown counters in one shot per query, keeping the scan
 	// hot paths free of atomics.
 	if q.pred != nil {

@@ -31,7 +31,7 @@ type Client struct {
 
 // DefaultScanWindow is the credit window a Scan opens with: the server
 // may have this many row batches in flight before the consumer must
-// drain one.
+// drain one. Scan returns credits half a window at a time.
 const DefaultScanWindow = 8
 
 // Dial connects to a masmd server and completes the Hello handshake.
@@ -80,11 +80,14 @@ func (c *Client) readLoop() {
 			c.fail(err)
 			return
 		}
-		// Bodies alias the read buffer, which the next frame overwrites:
-		// copy before handing off.
-		m.Body = append([]byte(nil), m.Body...)
-		for i := range m.Rows {
-			m.Rows[i].Body = append([]byte(nil), m.Rows[i].Body...)
+		// Bodies alias the read buffer. A row frame takes that buffer
+		// with it and the next frame is read into a fresh one, so row
+		// bodies are never copied; any other body is copied and the
+		// buffer reused.
+		if m.Op == OpRows {
+			buf = nil
+		} else {
+			m.Body = append([]byte(nil), m.Body...)
 		}
 		c.mu.Lock()
 		ch := c.pending[m.Seq]
@@ -190,10 +193,13 @@ func (c *Client) Modify(table string, key uint64, off int, val []byte) error {
 
 // Scan streams table's rows in [begin, end] through fn in key order
 // until fn returns false, limit rows have been delivered (0 = no
-// limit), or the range is exhausted. Row bodies are only valid during
-// the callback.
+// limit), or the range is exhausted. Row bodies alias the frame they
+// arrived in and are only valid during the callback; copy one to keep
+// it. Consumed batches are credited back in one OpCredit frame per half
+// window, so at most DefaultScanWindow batches are ever in flight.
 func (c *Client) Scan(table string, begin, end, limit uint64, fn func(key uint64, body []byte) bool) error {
 	const window = DefaultScanWindow
+	var owed uint32 // batches consumed but not yet credited back
 	seq, ch, err := c.register(window)
 	if err != nil {
 		return err
@@ -224,8 +230,11 @@ func (c *Client) Scan(table string, begin, end, limit uint64, fn func(key uint64
 				if m.Final {
 					return nil
 				}
-				if err := c.send(&Msg{Op: OpCredit, Seq: seq, Credits: 1}); err != nil {
-					return err
+				if owed++; owed >= window/2 {
+					if err := c.send(&Msg{Op: OpCredit, Seq: seq, Credits: owed}); err != nil {
+						return err
+					}
+					owed = 0
 				}
 			default:
 				return fmt.Errorf("proto: scan: unexpected frame op %d", m.Op)

@@ -9,9 +9,12 @@
 // echoes in its responses, so one connection multiplexes many in-flight
 // requests (and a streamed scan's row batches interleave freely with
 // other replies). Scans are flow-controlled by credits: the client
-// grants N outstanding row batches up front and tops the window up as it
-// consumes them, so a slow consumer never forces the server to buffer an
-// unbounded result.
+// grants N outstanding row batches up front and, as it consumes them,
+// tops the window up half a window at a time with one credit frame
+// carrying the count, so a slow consumer never forces the server to
+// buffer an unbounded result. The server encodes scan rows straight
+// into their OpRows frame (RowsFrame); the client hands each OpRows
+// frame's read buffer to the consumer without copying row bodies.
 //
 // Decode is hardened against arbitrary bytes — a malformed frame yields
 // an error, never a panic or an oversized allocation (see
@@ -371,6 +374,9 @@ func DecodePayload(p []byte, m *Msg) error {
 		if !d.ok || n > len(d.b)/12+1 {
 			return ErrMalformed
 		}
+		if cap(m.Rows) < n {
+			m.Rows = make([]Row, 0, n)
+		}
 		for i := 0; i < n && d.ok; i++ {
 			m.Rows = append(m.Rows, Row{Key: d.u64(), Body: d.bytes()})
 		}
@@ -402,6 +408,58 @@ func WriteFrame(w io.Writer, buf []byte, m *Msg) ([]byte, error) {
 	binary.LittleEndian.PutUint32(buf, uint32(payload))
 	_, err = w.Write(buf)
 	return buf, err
+}
+
+// rowsHeader is the fixed prefix of an OpRows frame: length u32, op u8,
+// seq u32, final u8, nrows u32.
+const rowsHeader = 4 + 1 + 4 + 1 + 4
+
+// RowsFrame builds one OpRows frame in place: rows are encoded straight
+// into the frame buffer as a scan produces them, so a streamed batch
+// needs no []Row and no copy of any body. The bytes Finish returns are
+// exactly what WriteFrame produces for the same Msg. The zero value is
+// ready after Reset; the buffer is reused across frames.
+type RowsFrame struct {
+	buf  []byte
+	rows uint32
+}
+
+// Reset starts an empty frame for scan seq.
+func (f *RowsFrame) Reset(seq uint32) {
+	f.buf = append(f.buf[:0], 0, 0, 0, 0, byte(OpRows)) // length patched by Finish
+	f.buf = appendU32(f.buf, seq)
+	f.buf = append(f.buf, 0, 0, 0, 0, 0) // final and nrows, patched by Finish
+	f.rows = 0
+}
+
+// Append encodes one row into the frame.
+func (f *RowsFrame) Append(key uint64, body []byte) {
+	f.buf = appendU64(f.buf, key)
+	f.buf = appendBytes(f.buf, body)
+	f.rows++
+}
+
+// Rows is the number of rows appended since Reset.
+func (f *RowsFrame) Rows() int { return int(f.rows) }
+
+// RowBytes is the wire size of the rows appended since Reset (12 bytes
+// of key and length per row plus its body).
+func (f *RowsFrame) RowBytes() int { return len(f.buf) - rowsHeader }
+
+// Finish patches the frame's length, final flag and row count and
+// returns the complete frame, valid until the next Reset or Append.
+func (f *RowsFrame) Finish(final bool) ([]byte, error) {
+	payload := len(f.buf) - 4
+	if payload > MaxFrame {
+		return nil, ErrFrameTooLarge
+	}
+	binary.LittleEndian.PutUint32(f.buf, uint32(payload))
+	f.buf[9] = 0
+	if final {
+		f.buf[9] = 1
+	}
+	binary.LittleEndian.PutUint32(f.buf[10:], f.rows)
+	return f.buf, nil
 }
 
 // ReadFrame reads one frame from r into m, reusing buf for the payload;

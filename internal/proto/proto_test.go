@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -151,6 +152,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(OpRows), 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0x7F})
+	var rf RowsFrame
+	rf.Reset(9)
+	rf.Append(3, []byte("row"))
+	rf.Append(4, nil)
+	frame, err := rf.Finish(true)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame[4:])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Msg
 		if err := DecodePayload(data, &m); err != nil {
@@ -166,4 +176,90 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("decode/encode not canonical:\n in: % x\nout: % x", data, re)
 		}
 	})
+}
+
+// TestRowsFrameCanonical checks that RowsFrame, which the server uses to
+// encode scan rows in place, produces exactly WriteFrame's bytes for the
+// same rows, and that they decode back to those rows: random row sets,
+// an empty final frame, empty bodies, and a frame just under the
+// server's MaxFrame/2 cut.
+func TestRowsFrameCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randRows := func(n, maxBody int) []Row {
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i].Key = rng.Uint64()
+			if b := rng.Intn(maxBody + 1); b > 0 {
+				rows[i].Body = make([]byte, b)
+				rng.Read(rows[i].Body)
+			}
+		}
+		return rows
+	}
+	cases := [][]Row{nil, {{Key: 1}}, {{Key: 2, Body: []byte{}}, {Key: 3}}}
+	for i := 0; i < 200; i++ {
+		cases = append(cases, randRows(rng.Intn(300), rng.Intn(256)))
+	}
+	// One row short of the MaxFrame/2 cut: 12 bytes of key and length
+	// per row, so 4096 rows of 116-byte bodies carry 512 KiB exactly.
+	big := randRows(4095, 0)
+	for i := range big {
+		big[i].Body = make([]byte, 116)
+	}
+	cases = append(cases, big)
+
+	var rf RowsFrame
+	var wbuf []byte
+	for i, rows := range cases {
+		for _, final := range []bool{false, true} {
+			seq := rng.Uint32()
+			rf.Reset(seq)
+			for _, r := range rows {
+				rf.Append(r.Key, r.Body)
+			}
+			got, err := rf.Finish(final)
+			if err != nil {
+				t.Fatalf("case %d: finish: %v", i, err)
+			}
+			if rf.Rows() != len(rows) {
+				t.Fatalf("case %d: Rows() = %d, want %d", i, rf.Rows(), len(rows))
+			}
+			want := &Msg{Op: OpRows, Seq: seq, Final: final, Rows: rows}
+			var buf bytes.Buffer
+			if wbuf, err = WriteFrame(&buf, wbuf, want); err != nil {
+				t.Fatalf("case %d: WriteFrame: %v", i, err)
+			}
+			if !bytes.Equal(got, buf.Bytes()) {
+				t.Fatalf("case %d (final=%v, %d rows): RowsFrame bytes differ from WriteFrame", i, final, len(rows))
+			}
+			if rowBytes := len(got) - rowsHeader; rf.RowBytes() != rowBytes {
+				t.Fatalf("case %d: RowBytes() = %d, want %d", i, rf.RowBytes(), rowBytes)
+			}
+			var m Msg
+			if err := DecodePayload(got[4:], &m); err != nil {
+				t.Fatalf("case %d: decode: %v", i, err)
+			}
+			if !eq(want, &m) {
+				t.Fatalf("case %d: decode changed the frame:\n in: %+v\nout: %+v", i, want, m)
+			}
+			re, err := AppendPayload(nil, &m)
+			if err != nil || !bytes.Equal(re, got[4:]) {
+				t.Fatalf("case %d: re-encode differs (err %v)", i, err)
+			}
+		}
+	}
+	if n := len(big) * (12 + 116); n >= MaxFrame/2 {
+		t.Fatalf("near-cut case carries %d row bytes, want just under %d", n, MaxFrame/2)
+	}
+}
+
+// TestRowsFrameTooLarge checks that a frame past MaxFrame is refused,
+// as WriteFrame refuses it.
+func TestRowsFrameTooLarge(t *testing.T) {
+	var rf RowsFrame
+	rf.Reset(1)
+	rf.Append(1, make([]byte, MaxFrame))
+	if _, err := rf.Finish(true); err != ErrFrameTooLarge {
+		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	}
 }

@@ -11,6 +11,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -387,6 +388,14 @@ func (c *conn) reply(m *proto.Msg) error {
 	return err
 }
 
+// writeFrame writes one already-encoded frame under wmu.
+func (c *conn) writeFrame(frame []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	_, err := c.c.Write(frame)
+	return err
+}
+
 func (c *conn) replyErr(seq uint32, code uint16, retryable bool, err error) error {
 	return c.reply(&proto.Msg{Op: proto.OpErr, Seq: seq, Code: code, Retryable: retryable, ErrMsg: err.Error()})
 }
@@ -399,10 +408,13 @@ func (c *conn) replyOK(seq uint32, value uint64) error {
 // sends garbage. Handshake first: anything but a well-formed,
 // version-matched Hello ends the connection.
 func (c *conn) serve() {
+	// Buffered, so a frame's header and payload usually arrive in one
+	// read syscall rather than two.
+	r := bufio.NewReaderSize(c.c, 16<<10)
 	var rbuf []byte
 	var m proto.Msg
 	var err error
-	rbuf, err = proto.ReadFrame(c.c, rbuf, &m)
+	rbuf, err = proto.ReadFrame(r, rbuf, &m)
 	if err != nil || m.Op != proto.OpHello || m.Magic != proto.Magic {
 		return
 	}
@@ -415,7 +427,7 @@ func (c *conn) serve() {
 		return
 	}
 	for {
-		rbuf, err = proto.ReadFrame(c.c, rbuf, &m)
+		rbuf, err = proto.ReadFrame(r, rbuf, &m)
 		if err != nil {
 			// Torn or closed connection (or garbage framing): the caller
 			// cleans up scans and transactions.
@@ -576,10 +588,12 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 
 // runScan streams one table scan as credit-gated row batches. Every
 // OpRows frame (final included) consumes one credit, so at most the
-// client's advertised window is ever in flight. When the connection
-// dies mid-stream the credit wait unblocks via c.quit and the scan
-// callback returns false, which closes the underlying query — no
-// goroutine, pin, or snapshot outlives the connection.
+// client's advertised window is ever in flight. Rows are encoded into
+// the frame as the scan produces them; the body the scan hands over is
+// never retained past its callback. When the connection dies mid-stream
+// the credit wait unblocks via c.quit and the scan callback returns
+// false, which closes the underlying query — no goroutine, pin, or
+// snapshot outlives the connection.
 func (c *conn) runScan(tbl *masm.Table, seq uint32, begin, end, limit uint64, credits uint32, creditCh chan uint32) {
 	defer func() {
 		c.mu.Lock()
@@ -588,8 +602,8 @@ func (c *conn) runScan(tbl *masm.Table, seq uint32, begin, end, limit uint64, cr
 		c.scanWG.Done()
 	}()
 	avail := int64(credits)
-	batch := &proto.Msg{Op: proto.OpRows, Seq: seq}
-	var batchBytes int
+	var frame proto.RowsFrame
+	frame.Reset(seq)
 	var sent uint64
 	// flush ships the accumulated batch once a credit is available; it
 	// reports false when the scan must abort (dead connection).
@@ -603,13 +617,12 @@ func (c *conn) runScan(tbl *masm.Table, seq uint32, begin, end, limit uint64, cr
 			}
 		}
 		avail--
-		batch.Final = final
-		if err := c.reply(batch); err != nil {
+		b, err := frame.Finish(final)
+		if err != nil || c.writeFrame(b) != nil {
 			return false
 		}
-		c.s.mScanRows.Add(int64(len(batch.Rows)))
-		batch.Rows = batch.Rows[:0]
-		batchBytes = 0
+		c.s.mScanRows.Add(int64(frame.Rows()))
+		frame.Reset(seq)
 		return true
 	}
 	aborted := false
@@ -620,13 +633,12 @@ func (c *conn) runScan(tbl *masm.Table, seq uint32, begin, end, limit uint64, cr
 			return false
 		default:
 		}
-		batch.Rows = append(batch.Rows, proto.Row{Key: key, Body: append([]byte(nil), body...)})
-		batchBytes += 12 + len(body)
+		frame.Append(key, body)
 		sent++
 		if limit > 0 && sent >= limit {
 			return false
 		}
-		if len(batch.Rows) >= c.s.opts.ScanBatchRows || batchBytes >= proto.MaxFrame/2 {
+		if frame.Rows() >= c.s.opts.ScanBatchRows || frame.RowBytes() >= proto.MaxFrame/2 {
 			if !flush(false) {
 				aborted = true
 				return false

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -18,7 +19,7 @@ import (
 
 // startServer builds an in-memory engine with the named tables and
 // serves it on a loopback listener. Cleanup closes server then engine.
-func startServer(t *testing.T, opts Options, tables ...string) (*Server, *masm.Engine, string) {
+func startServer(t testing.TB, opts Options, tables ...string) (*Server, *masm.Engine, string) {
 	t.Helper()
 	cfg := masm.DefaultConfig()
 	cfg.CacheBytes = 8 << 20
@@ -525,5 +526,189 @@ func TestServerCloseDrains(t *testing.T) {
 	}
 	if got := eng.Registry().Snapshot().Gauge("masm_server_conns"); got != 0 {
 		t.Fatalf("%d connections still registered after Close", got)
+	}
+}
+
+// loadRows inserts keys 1..n with 64-byte bodies straight through the
+// engine, bypassing the wire.
+func loadRows(t testing.TB, eng *masm.Engine, table string, n int) {
+	t.Helper()
+	tbl, err := eng.OpenTable(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= uint64(n); k++ {
+		if err := tbl.Insert(k, bytes.Repeat([]byte{byte(k)}, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestScanHalfWindowCredits streams a range of many small batches, so
+// the client tops its window up many times, and checks every row
+// arrives once, in key order, with its body intact.
+func TestScanHalfWindowCredits(t *testing.T) {
+	_, eng, addr := startServer(t, Options{ScanBatchRows: 16}, "t0")
+	const rows = 3000
+	loadRows(t, eng, "t0", rows)
+	c, err := proto.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	next := uint64(1)
+	if err := c.Scan("t0", 0, ^uint64(0), 0, func(k uint64, b []byte) bool {
+		if k != next {
+			t.Fatalf("got key %d, want %d", k, next)
+		}
+		if !bytes.Equal(b, bytes.Repeat([]byte{byte(k)}, 64)) {
+			t.Fatalf("key %d: body %x", k, b)
+		}
+		next++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if next != rows+1 {
+		t.Fatalf("scan delivered %d rows, want %d", next-1, rows)
+	}
+}
+
+// TestScanRawCreditWindow drives the credit protocol by hand: a client
+// that never tops up receives exactly its initial window of batches and
+// then nothing, and one credit frame carrying a count of n releases
+// exactly n more.
+func TestScanRawCreditWindow(t *testing.T) {
+	_, eng, addr := startServer(t, Options{ScanBatchRows: 16}, "t0")
+	loadRows(t, eng, "t0", 3000)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var wbuf, rbuf []byte
+	var m proto.Msg
+	write := func(msg *proto.Msg) {
+		t.Helper()
+		if wbuf, err = proto.WriteFrame(nc, wbuf, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() *proto.Msg {
+		t.Helper()
+		if rbuf, err = proto.ReadFrame(nc, rbuf, &m); err != nil {
+			t.Fatal(err)
+		}
+		return &m
+	}
+	// quiet checks that no frame arrives for a while.
+	quiet := func() {
+		t.Helper()
+		nc.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+		var b [1]byte
+		if n, err := nc.Read(b[:]); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("frame bytes arrived past the credit window (n=%d, err=%v)", n, err)
+		}
+		nc.SetReadDeadline(time.Time{})
+	}
+	write(&proto.Msg{Op: proto.OpHello, Magic: proto.Magic, Version: proto.Version})
+	if r := read(); r.Op != proto.OpOK {
+		t.Fatalf("handshake reply op %d", r.Op)
+	}
+	const window = proto.DefaultScanWindow
+	write(&proto.Msg{Op: proto.OpScan, Seq: 1, Table: "t0", End: ^uint64(0), Credits: window})
+	next := uint64(1)
+	batches := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			r := read()
+			if r.Op != proto.OpRows || r.Final || len(r.Rows) != 16 {
+				t.Fatalf("batch %d: op %d final %v rows %d", i, r.Op, r.Final, len(r.Rows))
+			}
+			for _, row := range r.Rows {
+				if row.Key != next {
+					t.Fatalf("got key %d, want %d", row.Key, next)
+				}
+				next++
+			}
+		}
+	}
+	batches(window)
+	quiet()
+	write(&proto.Msg{Op: proto.OpCredit, Seq: 1, Credits: window / 2})
+	batches(window / 2)
+	quiet()
+}
+
+// TestScanInterleavedWrites issues writes on the scan's own connection
+// while the scan streams, from inside its callback, so credit frames
+// and write requests interleave in the server's buffered read loop.
+func TestScanInterleavedWrites(t *testing.T) {
+	_, eng, addr := startServer(t, Options{ScanBatchRows: 16}, "t0", "t1")
+	const rows = 3000
+	loadRows(t, eng, "t0", rows)
+	c, err := proto.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	next, puts := uint64(1), 0
+	if err := c.Scan("t0", 0, ^uint64(0), 0, func(k uint64, b []byte) bool {
+		if k != next {
+			t.Fatalf("got key %d, want %d", k, next)
+		}
+		next++
+		if k%50 == 0 {
+			if err := c.Put("t1", k, b); err != nil {
+				t.Fatal(err)
+			}
+			puts++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if next != rows+1 {
+		t.Fatalf("scan delivered %d rows, want %d", next-1, rows)
+	}
+	got := 0
+	if err := c.Scan("t1", 0, ^uint64(0), 0, func(k uint64, b []byte) bool {
+		if !bytes.Equal(b, bytes.Repeat([]byte{byte(k)}, 64)) {
+			t.Fatalf("t1 key %d: body %x", k, b)
+		}
+		got++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got != puts {
+		t.Fatalf("t1 holds %d rows, want the %d written mid-scan", got, puts)
+	}
+}
+
+// BenchmarkServeScan measures the served read path over loopback: one
+// point get and one 2,500-row range scan per op.
+func BenchmarkServeScan(b *testing.B) {
+	_, eng, addr := startServer(b, Options{}, "t0")
+	loadRows(b, eng, "t0", 10000)
+	c, err := proto.Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	b.ReportAllocs()
+	var rows int
+	for i := 0; b.Loop(); i++ {
+		key := uint64(i%10000) + 1
+		if err := c.Scan("t0", key, key, 1, func(uint64, []byte) bool { return true }); err != nil {
+			b.Fatal(err)
+		}
+		begin := uint64(i%4) * 2500
+		if err := c.Scan("t0", begin+1, begin+2500, 0, func(uint64, []byte) bool { rows++; return true }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if rows != 2500*b.N {
+		b.Fatalf("range scans returned %d rows, want %d", rows, 2500*b.N)
 	}
 }

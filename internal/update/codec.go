@@ -122,21 +122,21 @@ func FillBatch(it Iterator, dst []Record) (int, error) {
 // consumed, so sources are not dragged through simulated lookahead I/O
 // the record-at-a-time path would never have issued, while drained
 // streams still amortize refills over full batches almost immediately.
+// The window's memory grows with it, so a point query never allocates
+// the full batch.
 type BatchReader struct {
 	src    Iterator
 	buf    []Record
 	pos, n int
 	win    int
+	batch  int
 	done   bool
 	err    error
 }
 
 // NewBatchReader wraps src with a window of up to batch records.
 func NewBatchReader(src Iterator, batch int) *BatchReader {
-	if batch < 1 {
-		batch = 1
-	}
-	return &BatchReader{src: src, buf: make([]Record, batch), win: 1}
+	return &BatchReader{src: src, win: 1, batch: max(batch, 1)}
 }
 
 // Peek returns the record at the head of the stream without consuming it,
@@ -147,11 +147,13 @@ func (r *BatchReader) Peek() (Record, bool, error) {
 		if r.done {
 			return Record{}, false, r.err
 		}
+		if len(r.buf) < r.win {
+			// The window is drained, so nothing in buf needs keeping.
+			r.buf = make([]Record, r.win)
+		}
 		n, err := FillBatch(r.src, r.buf[:r.win])
 		r.pos, r.n = 0, n
-		if r.win < len(r.buf) {
-			r.win = min(2*r.win, len(r.buf))
-		}
+		r.win = min(2*r.win, r.batch)
 		if err != nil {
 			r.err = err
 			r.done = true
