@@ -7,7 +7,6 @@
 //	masmbench -exp fig9
 //	masmbench -exp all -short
 //	masmbench -exp fig12 -table 128MB -cache 8MB
-//	masmbench -shardbench -nodes 4 -rows 200000
 //	masmbench -durabench -backend file -rows 200000
 //	masmbench -durabench -rows 60000 -json BENCH_6.json
 //	masmbench -mergebench -json BENCH_3.json
@@ -27,7 +26,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -35,9 +33,6 @@ import (
 	"masm"
 	"masm/internal/bench"
 	"masm/internal/chaos"
-	"masm/internal/shard"
-	"masm/internal/table"
-	"masm/internal/update"
 )
 
 func main() {
@@ -48,9 +43,7 @@ func main() {
 		tableSz   = flag.String("table", "", "override table size (e.g. 256MB)")
 		cacheSz   = flag.String("cache", "", "override SSD cache size (e.g. 16MB)")
 		seed      = flag.Int64("seed", 1, "random seed")
-		shardBnc  = flag.Bool("shardbench", false, "run the shared-nothing fan-out benchmark instead of a paper experiment")
-		nodes     = flag.Int("nodes", 4, "shardbench: cluster size")
-		rows      = flag.Int("rows", 200_000, "shardbench/durabench/tenantbench: loaded rows (per table for tenantbench)")
+		rows      = flag.Int("rows", 200_000, "durabench/tenantbench: loaded rows (per table for tenantbench)")
 		duraBnc   = flag.Bool("durabench", false, "run the durable-backend wall-clock benchmark instead of a paper experiment")
 		backend   = flag.String("backend", "file", "durabench: storage backend (sim or file)")
 		dir       = flag.String("dir", "", "durabench: database directory for the file backend (default: a fresh temp dir)")
@@ -73,13 +66,6 @@ func main() {
 	if *list {
 		for _, e := range bench.Experiments() {
 			fmt.Printf("%-12s %s\n", e.ID, e.Paper)
-		}
-		return
-	}
-	if *shardBnc {
-		if err := shardBench(*nodes, *rows, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
 		}
 		return
 	}
@@ -219,91 +205,6 @@ func chaosRun(seed int64, steps int, outPath string) error {
 	}
 	fmt.Printf("chaos OK: seed=%d steps=%d crashes=%d reopens=%d final state hash=%016x (%v wall)\n",
 		seed, res.Steps, res.Crashes, res.Reopens, res.Hash, time.Since(t0).Round(time.Millisecond))
-	return nil
-}
-
-// shardBench compares the sequential and goroutine-parallel fan-out
-// paths of the shared-nothing cluster (§5): same data, same cached
-// updates, full-table scan and a routed update batch, measured on the
-// host wall clock. The virtual (simulated) completion times agree by
-// construction; the wall-clock gap is what goroutine parallelism buys on
-// a multi-core host.
-func shardBench(nodes, rows int, seed int64) error {
-	keys := make([]uint64, rows)
-	bodies := make([][]byte, rows)
-	for i := range keys {
-		keys[i] = uint64(i+1) * 2
-		bodies[i] = []byte(fmt.Sprintf("fact-%07d: qty=01 price=0099 status=SHIPPED", keys[i]))
-	}
-	cfg := shard.DefaultConfig(nodes, 4<<20)
-	cfg.BodySize = len(bodies[0])
-	load := func() (*shard.Cluster, error) { return shard.Load(cfg, keys, bodies) }
-	rng := rand.New(rand.NewSource(seed))
-	batch := make([]update.Record, 0, rows/4)
-	for i := 0; i < rows/4; i++ {
-		key := uint64(rng.Intn(rows*2)) + 1
-		batch = append(batch, update.Record{Key: key, Op: update.Insert, Payload: bodies[0]})
-	}
-
-	// Apply legs run on identically loaded clusters so neither pays for
-	// cache state left behind by the other.
-	cSeq, err := load()
-	if err != nil {
-		return err
-	}
-	t0 := time.Now()
-	for _, rec := range batch {
-		if err := cSeq.Apply(rec); err != nil {
-			return err
-		}
-	}
-	seqApply := time.Since(t0)
-
-	c, err := load()
-	if err != nil {
-		return err
-	}
-	t0 = time.Now()
-	if _, err := c.ApplyBatch(batch); err != nil {
-		return err
-	}
-	parApply := time.Since(t0)
-
-	// Warmup scan: pay the one-time query-setup run merges before timing,
-	// so both timed scans see the same run set.
-	if _, err := c.Scan(0, ^uint64(0), func(table.Row) bool { return true }); err != nil {
-		return err
-	}
-
-	count := 0
-	t0 = time.Now()
-	dSeq, err := c.Scan(0, ^uint64(0), func(table.Row) bool { count++; return true })
-	if err != nil {
-		return err
-	}
-	seqScan := time.Since(t0)
-
-	pcount := 0
-	t0 = time.Now()
-	dPar, err := c.ScanParallel(0, ^uint64(0), func(table.Row) bool { pcount++; return true })
-	if err != nil {
-		return err
-	}
-	parScan := time.Since(t0)
-	if count != pcount {
-		return fmt.Errorf("row count mismatch: sequential %d, parallel %d", count, pcount)
-	}
-
-	fmt.Printf("shared-nothing fan-out: %d nodes, %d rows, GOMAXPROCS=%d\n",
-		nodes, rows, runtime.GOMAXPROCS(0))
-	fmt.Printf("%-28s %12s %12s %8s\n", "operation", "sequential", "parallel", "speedup")
-	fmt.Printf("%-28s %12v %12v %7.2fx\n", fmt.Sprintf("apply %d updates", len(batch)),
-		seqApply.Round(time.Microsecond), parApply.Round(time.Microsecond),
-		float64(seqApply)/float64(parApply))
-	fmt.Printf("%-28s %12v %12v %7.2fx\n", fmt.Sprintf("scan %d rows", count),
-		seqScan.Round(time.Microsecond), parScan.Round(time.Microsecond),
-		float64(seqScan)/float64(parScan))
-	fmt.Printf("simulated completion: sequential scan %v, parallel scan %v\n", dSeq, dPar)
 	return nil
 }
 

@@ -7,10 +7,11 @@ package main
 // ingestion, measures one table's migration (whose shadow-batch writes go
 // through the async I/O pool; the pool's depth high-water proves the
 // kernel saw queue depth > 1), hard-stops the engine, and then times full
-// directory recovery twice: the serial legacy path (RecoveryWorkers < 0)
-// against the parallel path (streaming WAL replay feeding concurrent run
-// rebuilds). Both paths recover bit-identical state and virtual times;
-// the comparison is pure wall-clock. Recovery legs open with O_DIRECT so
+// directory recovery twice on the one recovery path (streaming WAL replay
+// feeding run rebuilds): with a single rebuild worker (RecoveryWorkers 1,
+// the serial leg) and with the default concurrent pool (the parallel leg).
+// Both legs recover bit-identical state and virtual times; the comparison
+// is pure wall-clock. Recovery legs open with O_DIRECT so
 // the run scans genuinely hit the device instead of replaying the page
 // cache, on this host as on a cold start.
 
@@ -234,7 +235,7 @@ func recoveryBench(rows int, seed int64, keep bool, jsonPath string) error {
 	// Interleave the legs so cache and scheduler state stay symmetric.
 	var serialBest, parallelBest recoveryBenchLeg
 	for i := 0; i < reps; i++ {
-		s, err := leg("serial", -1)
+		s, err := leg("serial", 1)
 		if err != nil {
 			return err
 		}

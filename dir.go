@@ -50,12 +50,10 @@ import (
 
 	core "masm/internal/masm"
 	"masm/internal/obs"
-	"masm/internal/runfile"
 	"masm/internal/sim"
 	"masm/internal/storage"
 	"masm/internal/storage/filedev"
 	"masm/internal/table"
-	"masm/internal/txn"
 	"masm/internal/wal"
 )
 
@@ -102,11 +100,11 @@ type EngineDirOptions struct {
 	// simulated timeline. The listener closes with the engine.
 	MetricsAddr string
 	// RecoveryWorkers bounds the concurrent run rebuilds during recovery.
-	// Zero selects the default (storage.DefaultIOWorkers); a negative value
-	// forces the fully serial legacy path. Both paths recover bit-identical
-	// engine state and virtual times — the rebuild scans move only real
-	// bytes, and their simulated cost is charged serially in the same order
-	// either way — so the knob trades wall-clock only.
+	// Any value ≤ 0 selects the default (storage.DefaultIOWorkers). Every
+	// value recovers bit-identical engine state and virtual times — the
+	// rebuild scans move only real bytes, and their simulated cost is
+	// charged serially in the same order either way — so the knob trades
+	// wall-clock only.
 	RecoveryWorkers int
 	// IOWorkers bounds each batch of concurrent data-plane operations
 	// (migration shadow-batch writes). Zero selects the default
@@ -898,217 +896,13 @@ func reopenEngineDir(dir string, opts EngineDirOptions, lock *os.File) (e *Engin
 	e.log.SetHooks(ds.hooks())
 	e.log.SetMetrics(walMetricsFor(e.reg))
 
-	// Replay the shared log once and route its records to their tables.
 	// Records of tables absent from the manifest belong to dropped tables
-	// (the manifest rewrite is the drop's commit point) and are ignored.
-	// The replay streams: frames decode out of a bounded sliding window and
-	// fold into per-table state on the spot, so a log of any length replays
-	// in O(chunk) memory instead of materializing every entry first.
-	// RecoveryWorkers < 0 keeps the legacy shape — materialize every entry,
-	// then fold — as the serial baseline benchmarks compare against; both
-	// shapes fold the same entries in the same order and recover identical
-	// state.
+	// (the manifest rewrite is the drop's commit point); recovery ignores
+	// them.
 	recoverStart := time.Now()
-
-	// Concurrent rebuild dispatch, shared by the streaming replay below and
-	// the post-replay sweep. A dispatched scan is pure data-plane work
-	// (runfile.RebuildOffline — PeekAt, no pricing), so starting one the
-	// moment its run metadata streams out of the log cannot move the virtual
-	// clock; it only moves the scan's real I/O wait under the replay's and
-	// assembly's CPU time. Results land in prebuilt; each job closes its
-	// done channel, and the assembly loop waits per table, so one table's
-	// memtable replay overlaps the next table's scans still in flight.
-	type jobKey struct {
-		table uint32
-		run   int64
-	}
-	workers := opts.RecoveryWorkers
-	if workers == 0 {
-		workers = storage.DefaultIOWorkers
-	}
-	prebuilt := make(map[uint32]map[int64]core.PrebuiltRun, len(ordered))
-	for _, tm := range ordered {
-		prebuilt[tm.ID] = make(map[int64]core.PrebuiltRun)
-	}
-	rcfg := e.coreConfigFor().Run
-	// Captured as a local, NOT through e: e is the named return value, so an
-	// error return zeroes it while queued scans are still waiting on sem —
-	// reading e.ssdVol from the goroutine would race that nil.
-	scanVol := e.ssdVol
-	var (
-		pmu        sync.Mutex
-		sem        chan struct{}
-		dispatched map[jobKey]chan struct{}
-	)
-	if workers > 0 {
-		sem = make(chan struct{}, workers)
-		dispatched = make(map[jobKey]chan struct{})
-	}
-	// dispatch is only ever called from this goroutine: dispatched needs no
-	// lock, and duplicate announcements (a checkpointed run re-flushed) are
-	// deduped here.
-	dispatch := func(table uint32, rm core.RunMeta) {
-		if sem == nil || rm.Format > runfile.MaxFormat {
-			return // serial mode, or the serial check reports the version error
-		}
-		if prebuilt[table] == nil {
-			return // a dropped table's records: replay ignores them too
-		}
-		k := jobKey{table, rm.RunID}
-		if _, ok := dispatched[k]; ok {
-			return
-		}
-		done := make(chan struct{})
-		dispatched[k] = done
-		go func() {
-			defer close(done)
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var (
-				run   *runfile.Run
-				spans []runfile.Span
-				rerr  error
-			)
-			if rm.Format >= runfile.FormatZoneMaps && rm.IndexSize > 0 {
-				// Zone-mapped runs skip record decode: the persisted block
-				// restores the index, the data is swept for its checksum only.
-				run, spans, rerr = runfile.LoadIndexOffline(scanVol, rm.Off, rm.Size,
-					rm.IndexSize, rm.RunID, rm.Passes, rm.CRC, rcfg)
-			} else {
-				run, spans, rerr = runfile.RebuildOffline(scanVol, rm.Off, rm.Size,
-					rm.RunID, rm.Passes, rm.CRC, rcfg)
-			}
-			pmu.Lock()
-			prebuilt[table][rm.RunID] = core.PrebuiltRun{Run: run, Spans: spans, Err: rerr}
-			pmu.Unlock()
-		}()
-	}
-	// No dispatched scan may outlive this function: an error return hands
-	// the directory's files back to the cleanup path while a scan could
-	// still be mid-pread. On success every channel is already closed and
-	// this drain costs nothing.
-	defer func() {
-		for _, ch := range dispatched {
-			<-ch
-		}
-	}()
-
-	var states map[uint32]*wal.TableState
-	var replayed int64
-	var now sim.Time
-	if opts.RecoveryWorkers < 0 {
-		var entries []wal.Entry
-		entries, now, err = wal.ReadAll(oldLogVol, 0)
-		if err != nil {
-			return nil, fmt.Errorf("masm: recover %s: %w", dir, err)
-		}
-		replayed = int64(len(entries))
-		states = wal.ReplayEntries(entries)
-	} else {
-		rep := wal.NewReplayer()
-		rep.OnRun = dispatch
-		now, err = wal.ReadStream(oldLogVol, 0, func(ent wal.Entry) error {
-			replayed++
-			rep.Observe(ent)
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("masm: recover %s: %w", dir, err)
-		}
-		states = rep.States()
-	}
-	e.reg.Gauge("masm_wal_replay_entries").Set(replayed)
-	e.tracer.Emit("recovery", "", "replay", fmt.Sprintf("entries=%d", replayed), int64(now))
-	// Resume the shared oracle above every logged timestamp — including
-	// migration timestamps already stamped onto data pages, which would
-	// otherwise suppress post-recovery updates (see wal.TableState.MaxTS).
-	var maxTS int64
-	for _, st := range states {
-		e.oracle.AdvanceTo(st.MaxTS)
-		if st.MaxTS > maxTS {
-			maxTS = st.MaxTS
-		}
-	}
-	cps := make([]wal.TableCheckpoint, 0, len(ordered)+1)
-	if maxTS > 0 {
-		// Persist the engine-wide high water itself (an entry with no runs
-		// or pending records writes only the oracle-advance record), so the
-		// NEXT recovery of this checkpoint also resumes above the stamps.
-		cps = append(cps, wal.TableCheckpoint{MaxTS: maxTS})
-	}
-	for _, tm := range ordered {
-		if st := states[tm.ID]; st != nil {
-			cps = append(cps, wal.TableCheckpoint{Table: tm.ID, Runs: st.Runs, Pending: st.Pending})
-		}
-	}
-	if now, err = e.log.CheckpointAll(now, cps); err != nil {
-		return nil, err
-	}
-	// Re-register EVERY table's surviving run extents with the shared
-	// allocator before restoring ANY table: a restore can allocate fresh
-	// extents (an interrupted migration's redo flushes the replayed
-	// buffer), and a later table's durable runs must already be off the
-	// free list or the allocation overwrites them.
-	allocs := make(map[uint32]core.RunAllocator, len(ordered))
-	for _, tm := range ordered {
-		t := e.byID[tm.ID]
-		alloc := e.shared.Partition(t.id, t.cacheBudget*2)
-		allocs[t.id] = alloc
-		if st := states[tm.ID]; st != nil {
-			ccfg := e.coreConfigFor()
-			if err = core.ReserveRunExtents(ccfg, alloc, st.Runs); err != nil {
-				return nil, fmt.Errorf("masm: recover %s table %q: %w", dir, tm.Name, err)
-			}
-		}
-	}
-	// Sweep-dispatch any surviving run the streaming hook didn't announce
-	// (the legacy materialized path dispatches everything here), then wait
-	// for the scans of runs the log later consumed: their extents are free
-	// again, and the first redone migration below may reuse them — a stale
-	// scan's result is discarded either way, but it must not still be
-	// reading when new data lands. Live runs are waited on per table in the
-	// assembly loop, so table k's memtable replay runs under table k+1's
-	// scans still in flight.
-	if sem != nil {
-		final := make(map[jobKey]bool)
-		for _, tm := range ordered {
-			if st := states[tm.ID]; st != nil {
-				for _, rm := range st.Runs {
-					final[jobKey{tm.ID, rm.RunID}] = true
-					dispatch(tm.ID, rm)
-				}
-			}
-		}
-		for k, ch := range dispatched {
-			if !final[k] {
-				<-ch
-			}
-		}
-		e.reg.Gauge("masm_recovery_rebuild_workers").Set(int64(workers))
-	}
-	for _, tm := range ordered {
-		t := e.byID[tm.ID]
-		st := states[tm.ID]
-		if st == nil {
-			st = &wal.TableState{}
-		}
-		for k, ch := range dispatched {
-			if k.table == tm.ID {
-				<-ch
-			}
-		}
-		ccfg := e.coreConfigFor()
-		ccfg.SSDCapacity = roundTo(t.cacheBudget, 4<<10)
-		store, end, rerr := core.RestoreSharedPrebuilt(ccfg, t.tbl, e.ssdVol, e.oracle,
-			e.log.ForTable(t.id), core.PreReserved(allocs[t.id]), t.id, st.Runs,
-			prebuilt[tm.ID], st.Pending, st.RedoMigration, now,
-			e.storeMetricsFor(t.name))
-		if rerr != nil {
-			return nil, fmt.Errorf("masm: recover %s table %q: %w", dir, t.name, rerr)
-		}
-		now = end
-		t.store = store
-		t.txns = txn.NewManager(store)
+	now, err := e.recoverTables(oldLogVol, 0, ds.catalog, opts.RecoveryWorkers)
+	if err != nil {
+		return nil, fmt.Errorf("masm: recover %s: %w", dir, err)
 	}
 	// The checkpoint in the new log is durable (CheckpointAll syncs it)
 	// and the header is down even when the checkpoint was empty; the old
@@ -1134,7 +928,7 @@ func reopenEngineDir(dir string, opts EngineDirOptions, lock *os.File) (e *Engin
 	}
 	e.clock.advance(now)
 	e.reg.Gauge("masm_recovery_wall_nanos").Set(time.Since(recoverStart).Nanoseconds())
-	e.tracer.Emit("recovery", "", "end", fmt.Sprintf("tables=%d", len(ordered)), int64(now))
+	e.tracer.Emit("recovery", "", "end", fmt.Sprintf("tables=%d", len(ds.catalog)), int64(now))
 	return e, nil
 }
 

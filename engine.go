@@ -996,72 +996,19 @@ func (e *Engine) Crash() (*Engine, error) {
 	e2.clock.advance(now)
 	e2.shared = core.NewSharedAlloc(e.ssdVol.Size())
 	e2.shared.SetMetrics(core.NewPoolMetrics(e2.reg))
-	newLog := wal.Open(e.logVol)
-	newLog.SetMetrics(walMetricsFor(e2.reg))
-	e2.log = newLog
-
-	entries, now, err := wal.ReadAll(e.logVol, now)
-	if err != nil {
-		return nil, err
-	}
-	e2.reg.Gauge("masm_wal_replay_entries").Set(int64(len(entries)))
-	e2.tracer.Emit("recovery", "", "replay", fmt.Sprintf("entries=%d", len(entries)), int64(now))
-	states := wal.ReplayEntries(entries)
-	// Resume the oracle above every logged timestamp, migration stamps
-	// included (see wal.TableState.MaxTS).
-	var maxTS int64
-	for _, st := range states {
-		e2.oracle.AdvanceTo(st.MaxTS)
-		if st.MaxTS > maxTS {
-			maxTS = st.MaxTS
-		}
-	}
-	// Checkpoint the recovered state into the fresh log (which reuses the
-	// volume) so a second crash recovers too, then rebuild each table.
-	cps := make([]wal.TableCheckpoint, 0, len(tables)+1)
-	if maxTS > 0 {
-		cps = append(cps, wal.TableCheckpoint{MaxTS: maxTS})
-	}
-	for _, t := range tables {
-		st := states[t.id]
-		if st == nil {
-			continue
-		}
-		cps = append(cps, wal.TableCheckpoint{Table: t.id, Runs: st.Runs, Pending: st.Pending})
-	}
-	if now, err = newLog.CheckpointAll(now, cps); err != nil {
-		return nil, err
-	}
-	// As in reopenEngineDir: every table's surviving extents must be off
-	// the shared free list before any table's restore can allocate.
-	allocs := make(map[uint32]core.RunAllocator, len(tables))
-	for _, t := range tables {
-		alloc := e2.shared.Partition(t.id, t.cacheBudget*2)
-		allocs[t.id] = alloc
-		if st := states[t.id]; st != nil {
-			if err := core.ReserveRunExtents(e.coreConfigFor(), alloc, st.Runs); err != nil {
-				return nil, fmt.Errorf("masm: recover table %q: %w", t.name, err)
-			}
-		}
-	}
-	for _, t := range tables {
-		st := states[t.id]
-		if st == nil {
-			st = &wal.TableState{}
-		}
-		ccfg := e.coreConfigFor()
-		ccfg.SSDCapacity = roundTo(t.cacheBudget, 4<<10)
-		store, end, err := core.RestoreShared(ccfg, t.tbl, e2.ssdVol, e2.oracle,
-			newLog.ForTable(t.id), core.PreReserved(allocs[t.id]), t.id, st.Runs, st.Pending, st.RedoMigration, now,
-			e2.storeMetricsFor(t.name))
-		if err != nil {
-			return nil, fmt.Errorf("masm: recover table %q: %w", t.name, err)
-		}
-		now = end
-		t2 := &Table{eng: e2, name: t.name, id: t.id, cacheBudget: t.cacheBudget, tbl: t.tbl, store: store}
-		t2.txns = txn.NewManager(store)
+	e2.log = wal.Open(e.logVol)
+	e2.log.SetMetrics(walMetricsFor(e2.reg))
+	// The new log reuses the old one's volume: recovery has read the old
+	// log to its end before the checkpoint overwrites it.
+	for i, t := range tables {
+		t2 := &Table{eng: e2, name: t.name, id: t.id, cacheBudget: t.cacheBudget, tbl: t.tbl}
 		e2.tables[t2.name] = t2
 		e2.byID[t2.id] = t2
+		tables[i] = t2
+	}
+	now, err := e2.recoverTables(e.logVol, now, tables, 0)
+	if err != nil {
+		return nil, fmt.Errorf("masm: recover: %w", err)
 	}
 	e2.clock.advance(now)
 	return e2, nil

@@ -14,12 +14,14 @@ import (
 )
 
 // TestRecoveryDifferential is the parallel-recovery oracle: for 50 seeded
-// workloads it builds a crashed directory image, recovers one copy with
-// the legacy fully-serial path (RecoveryWorkers < 0) and another with the
-// default concurrent path, and demands byte-identical results — the same
-// catalog, the same rows in every table, and the same virtual clock. The
-// parallel path reorders only data-plane scans; any divergence here means
-// it leaked into priced state.
+// workloads it builds a crashed directory image, recovers one copy with a
+// single rebuild worker (RecoveryWorkers 1: every scan in run order) and
+// another with the default concurrent pool, and demands byte-identical
+// results — the same catalog, the same rows in every table, and the same
+// virtual clock. Concurrency reorders only data-plane scans; any
+// divergence here means it leaked into priced state. (The offline rebuild
+// itself is checked against the priced inline one in internal/masm's
+// TestRestorePrebuiltMatchesInline.)
 func TestRecoveryDifferential(t *testing.T) {
 	const seeds = 50
 	for seed := int64(0); seed < seeds; seed++ {
@@ -34,7 +36,7 @@ func TestRecoveryDifferential(t *testing.T) {
 			copyDir := filepath.Join(root, "copy")
 			copyDatabaseDir(t, dir, copyDir)
 
-			serial := recoverAndFingerprint(t, dir, -1)
+			serial := recoverAndFingerprint(t, dir, 1)
 			parallel := recoverAndFingerprint(t, copyDir, 0)
 
 			if serial.elapsed != parallel.elapsed {
@@ -63,18 +65,18 @@ func TestRecoveryDifferential(t *testing.T) {
 }
 
 // TestRecoveryDifferentialCrashSweep interrupts recovery itself — once
-// under the concurrent rebuild pool, once on the serial path — and then
-// finishes the job with the OTHER mode. The crash points are probed, not
-// assumed: a throwaway recovery counts the checkpoint log's fsyncs and
-// writes, and the sweep then cuts power at every fsync and fails writes
-// spread across the rewrite (first, middle, last). An interrupted
+// under the default concurrent pool, once with a single rebuild worker —
+// and then finishes the job with the OTHER mode. The crash points are
+// probed, not assumed: a throwaway recovery counts the checkpoint log's
+// fsyncs and writes, and the sweep then cuts power at every fsync and
+// fails writes spread across the rewrite (first, middle, last). An interrupted
 // recovery must leave the old log authoritative regardless of which mode
 // was interrupted, and the surviving state must not depend on which mode
 // completes it.
 func TestRecoveryDifferentialCrashSweep(t *testing.T) {
-	for i, first := range []int{0, -1} {
+	for i, first := range []int{0, 1} {
 		first := first
-		other := -1 - first // 0 <-> -1
+		other := 1 - first // 0 <-> 1
 		seed := int64(7 * (i + 1))
 		t.Run(fmt.Sprintf("crashWorkers%d", first), func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "db")

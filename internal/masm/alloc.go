@@ -219,8 +219,8 @@ func (p *allocPartition) Reserve(off, size int64) error {
 
 // PreReserved wraps an allocator whose surviving run extents were already
 // re-registered by an engine-level recovery pre-pass: Reserve becomes a
-// no-op so RestoreShared does not double-reserve, while Alloc and Release
-// pass through. A multi-table engine MUST reserve every table's surviving
+// no-op so RestoreSharedPrebuilt does not double-reserve, while Alloc and
+// Release pass through. A multi-table engine MUST reserve every table's surviving
 // extents before restoring any table: restoring a table can allocate
 // fresh extents (redoing an interrupted migration flushes the replayed
 // buffer), and without the other tables' reservations in place those

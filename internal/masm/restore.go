@@ -25,22 +25,8 @@ import (
 func Restore(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
 	logger RedoLogger, runs []RunMeta, pending []update.Record,
 	redoMigration []int64, at sim.Time) (*Store, sim.Time, error) {
-	return RestoreShared(cfg, tbl, ssd, oracle, logger,
-		newExtentAlloc(ssd.Size()), 0, runs, pending, redoMigration, at, nil)
-}
-
-// RestoreShared is Restore for one table of a multi-table engine: the
-// rebuilt store draws from the engine's shared allocator (re-reserving the
-// surviving runs' extents in it) and carries the table identity. Restore is
-// the single-table special case. m carries the table's metric handles (nil
-// for a private registry); the restore path repopulates the state gauges —
-// run bytes/count, memtable fill — so a reopened engine's metrics resume
-// from the recovered state rather than zero.
-func RestoreShared(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
-	logger RedoLogger, alloc RunAllocator, tableID uint32, runs []RunMeta,
-	pending []update.Record, redoMigration []int64, at sim.Time, m *StoreMetrics) (*Store, sim.Time, error) {
-	return RestoreSharedPrebuilt(cfg, tbl, ssd, oracle, logger, alloc, tableID, runs,
-		nil, pending, redoMigration, at, m)
+	return RestoreSharedPrebuilt(cfg, tbl, ssd, oracle, logger,
+		newExtentAlloc(ssd.Size()), 0, runs, nil, pending, redoMigration, at, nil)
 }
 
 // PrebuiltRun is one surviving run already reconstructed on the data plane
@@ -49,20 +35,25 @@ func RestoreShared(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Or
 // these concurrently — no simulated time is involved in the scan — and
 // hands them to RestoreSharedPrebuilt, which replays the recorded spans on
 // the simulated device serially, at exactly the point in the time chain
-// where the serial path would have scanned.
+// where an inline rebuild would have scanned.
 type PrebuiltRun struct {
 	Run   *runfile.Run
 	Spans []runfile.Span
 	Err   error
 }
 
-// RestoreSharedPrebuilt is RestoreShared with some (or all) run scans
-// already performed offline: prebuilt maps RunID to its data-plane rebuild.
+// RestoreSharedPrebuilt is Restore for one table of a multi-table engine:
+// the rebuilt store draws from the engine's shared allocator and carries
+// the table identity, and some (or all) of its run scans may already have
+// been performed offline. prebuilt maps RunID to its data-plane rebuild.
 // Runs present in the map skip the priced Rebuild — their recorded spans
 // are charged on the simulated device instead, serially and in the same
 // position of the recovery time chain, so the virtual clock comes out
-// bit-identical to the serial path. Runs absent from the map (or a nil
-// map) are rebuilt inline exactly as before.
+// bit-identical to an inline rebuild. Runs absent from the map (or a nil
+// map) are rebuilt inline. m carries the table's metric handles (nil for a
+// private registry); the restore repopulates the state gauges — run
+// bytes/count, memtable fill — so a reopened engine's metrics resume from
+// the recovered state rather than zero.
 func RestoreSharedPrebuilt(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
 	logger RedoLogger, alloc RunAllocator, tableID uint32, runs []RunMeta,
 	prebuilt map[int64]PrebuiltRun, pending []update.Record, redoMigration []int64,

@@ -173,17 +173,6 @@ func (r *Replayer) States() map[uint32]*TableState {
 	return r.states
 }
 
-// ReplayEntries routes already-decoded log entries to per-table recovered
-// state: Replayer over a materialized slice, for callers (and tests) that
-// hold the entries anyway.
-func ReplayEntries(entries []Entry) map[uint32]*TableState {
-	r := NewReplayer()
-	for _, e := range entries {
-		r.Observe(e)
-	}
-	return r.States()
-}
-
 // baseKind collapses a tagged kind onto its untagged counterpart (the
 // Entry already carries the table id) and maps KindTxnBatch to itself.
 func baseKind(k Kind) Kind {
@@ -195,8 +184,8 @@ func baseKind(k Kind) Kind {
 
 // Recover replays a single-table redo log and rebuilds its MaSM store: the
 // crash-recovery procedure of paper §3.6. It refuses logs that name other
-// tables — a catalog log is recovered per table by the engine, which calls
-// ReplayEntries and masm.RestoreShared itself.
+// tables — a catalog log is recovered by the engine, which drives a
+// Replayer and masm.RestoreSharedPrebuilt itself.
 //
 // newLog becomes the rebuilt store's redo logger for subsequent activity.
 func Recover(cfg masm.Config, tbl *table.Table, ssd *storage.Volume,

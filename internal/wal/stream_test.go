@@ -54,6 +54,20 @@ func buildBigLog(t *testing.T, wantBytes int64) (*storage.Volume, int64) {
 	return vol, written
 }
 
+// ReadAll replays the log from vol, returning the decoded entries: the
+// materializing form of ReadStream, for tests over small logs.
+func ReadAll(vol *storage.Volume, at sim.Time) ([]Entry, sim.Time, error) {
+	var entries []Entry
+	now, err := ReadStream(vol, at, func(e Entry) error {
+		entries = append(entries, e)
+		return nil
+	})
+	if err != nil {
+		return nil, now, err
+	}
+	return entries, now, nil
+}
+
 func liveHeap() uint64 {
 	runtime.GC()
 	var m runtime.MemStats
@@ -62,7 +76,7 @@ func liveHeap() uint64 {
 }
 
 // TestStreamingReplayPeakMemory is the regression test for the old
-// accumulate-the-whole-log replay: wal.ReadAll used to grow one append
+// accumulate-the-whole-log replay: ReadAll used to grow one append
 // buffer (and an entries slice holding every decoded payload) across the
 // entire log, so replay memory was O(log). The streaming path must hold
 // O(chunk): the sliding window never exceeds a few chunks, and the

@@ -600,26 +600,6 @@ func (l *Log) LogMigrationPortion(at sim.Time, migTS int64, consumed []int64) (s
 	return l.syncLocked(t)
 }
 
-// ReadAll replays the log from vol, returning the decoded entries. Only
-// entries that reached the volume are seen — precisely the crash
-// semantics: buffered-but-unsynced tail entries are lost with the crash.
-//
-// ReadAll materializes every entry; its live heap is proportional to the
-// log. Recovery paths replay through ReadStream + Replayer instead, which
-// keeps peak memory bounded by the chunk size regardless of log length —
-// ReadAll remains for small logs, tests and fuzz targets.
-func ReadAll(vol *storage.Volume, at sim.Time) ([]Entry, sim.Time, error) {
-	var entries []Entry
-	now, err := ReadStream(vol, at, func(e Entry) error {
-		entries = append(entries, e)
-		return nil
-	})
-	if err != nil {
-		return nil, now, err
-	}
-	return entries, now, nil
-}
-
 // replayChunk is the sequential read unit of streaming replay — one pread
 // per chunk rather than two per record, which is what keeps recovery of a
 // file-backed log fast (and is also how the virtual-time model prices it).

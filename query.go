@@ -11,6 +11,7 @@ package masm
 
 import (
 	"fmt"
+	"math"
 
 	core "masm/internal/masm"
 	"masm/internal/query"
@@ -23,7 +24,9 @@ type KeyRange struct {
 }
 
 // Projection selects a fixed-width column: Width body bytes at byte
-// offset Off. Rows whose body is shorter yield an empty body.
+// offset Off. Rows whose body is shorter yield an empty body. Off and
+// Width must be non-negative and their sum must fit in an int; Query
+// rejects any other projection.
 type Projection struct {
 	Off, Width int
 }
@@ -74,6 +77,9 @@ func (spec *QuerySpec) pred() *update.Pred {
 func (t *Table) Query(spec QuerySpec, fn func(key uint64, body []byte) bool) error {
 	if spec.Begin > spec.End {
 		return fmt.Errorf("masm: query begin %d > end %d", spec.Begin, spec.End)
+	}
+	if p := spec.Project; p != nil && (p.Off < 0 || p.Width < 0 || p.Off > math.MaxInt-p.Width) {
+		return fmt.Errorf("masm: invalid query projection (off %d, width %d)", p.Off, p.Width)
 	}
 	pred := spec.pred()
 	if pred != nil && pred.Empty() {

@@ -3,6 +3,7 @@ package masm
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -172,5 +173,39 @@ func TestQueryFacadeEdges(t *testing.T) {
 	}
 	if !sameRows(viaDB, viaTable) {
 		t.Fatalf("DB.Query %d rows, Table.Query %d rows", len(viaDB), len(viaTable))
+	}
+}
+
+// TestQueryRejectsBadProjection pins projection validation: a negative
+// offset or width, or an offset+width that overflows int, is an error
+// from Query rather than a slice-bounds panic in the operator pipeline.
+func TestQueryRejectsBadProjection(t *testing.T) {
+	db := loadDB(t, 50, smallCfg())
+	defer db.Close()
+	for _, tc := range []struct {
+		name    string
+		proj    Projection
+		wantErr bool
+	}{
+		{"negative off", Projection{Off: -1, Width: 1}, true},
+		{"negative width", Projection{Off: 0, Width: -1}, true},
+		{"off+width overflows", Projection{Off: math.MaxInt, Width: 1}, true},
+		{"valid", Projection{Off: 1, Width: 2}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			proj := tc.proj
+			n := 0
+			err := db.Query(QuerySpec{Begin: 0, End: ^uint64(0), Project: &proj},
+				func(uint64, []byte) bool { n++; return true })
+			if tc.wantErr {
+				if err == nil || n != 0 {
+					t.Fatalf("projection %+v: err=%v after %d rows, want an error and no rows", proj, err, n)
+				}
+				return
+			}
+			if err != nil || n == 0 {
+				t.Fatalf("projection %+v: err=%v, %d rows", proj, err, n)
+			}
+		})
 	}
 }
